@@ -179,9 +179,12 @@ impl MergeFile {
         self.entries.get(key)
     }
 
-    /// The keys of every merged partition (unordered).
+    /// The keys of every merged partition, in key order (the order
+    /// [`MergeFile::entries_sorted`] uses), so walks over them repeat.
     pub fn keys(&self) -> Vec<PartitionKey> {
-        self.entries.keys().copied().collect()
+        let mut keys: Vec<PartitionKey> = self.entries.keys().copied().collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// The ingest sequence the file is synced to for `dataset`: the minimum

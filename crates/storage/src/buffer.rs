@@ -6,6 +6,12 @@
 //! cost (almost) nothing in the cost model, and its capacity is the memory
 //! budget knob of [`crate::StorageOptions`].
 //!
+//! Frames are shared, not copied: a hit hands out a [`Page`] that points at
+//! the pool's own frame (a reference-count bump), and inserts and
+//! write-through updates store the caller's frame the same way. A reader
+//! that mutates its page copies the frame first (see [`crate::page`]), so
+//! the cached copy never changes under the pool.
+//!
 //! # Concurrency
 //!
 //! The pool is safe to use through `&self` from many threads. Large pools

@@ -82,7 +82,8 @@ pub trait PagedFile: Send + Sync {
 /// (1 MiB chunks).
 const GROW_CHUNK_PAGES: u64 = 256;
 
-/// In-memory paged file.
+/// In-memory paged file. It stores shared page frames, so reads, writes
+/// and appends exchange reference counts instead of copying pages.
 #[derive(Default)]
 pub struct MemFile {
     pages: Shared<Vec<Page>>,
@@ -215,10 +216,10 @@ impl PagedFile for DiskFile {
         if page.0 >= len {
             return Err(out_of_range(page, len));
         }
-        let mut buf = vec![0u8; PAGE_SIZE];
+        let mut frame = Page::zeroed();
         self.file
-            .read_exact_at(&mut buf, page.0 * PAGE_SIZE as u64)?;
-        Ok(Page::from_bytes(buf))
+            .read_exact_at(frame.as_bytes_mut(), page.0 * PAGE_SIZE as u64)?;
+        Ok(frame)
     }
 
     fn write_page(&self, page: PageId, data: &Page) -> StorageResult<()> {
@@ -547,7 +548,7 @@ mod tests {
             target * PAGE_SIZE as u64
         );
         assert_eq!(f.read_page(PageId(0)).unwrap().objects().unwrap().len(), 1);
-        let tail = f.read_page(PageId(target - 1)).unwrap();
+        let mut tail = f.read_page(PageId(target - 1)).unwrap();
         assert_eq!(tail.record_count().unwrap(), 0);
         assert!(tail.verify_checksum());
         // Truncate back down and verify the physical size follows.

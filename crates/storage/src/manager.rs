@@ -873,14 +873,14 @@ impl StorageManager {
     /// device access as sequential or random. Every page that comes off the
     /// device is verified against its header CRC-32; a mismatch surfaces as
     /// [`StorageError::CorruptPage`] (buffer hits were verified when they
-    /// were first read or written).
+    /// were first read or written). Hits and the pool's copy share one frame.
     pub fn read_page(&self, file: FileId, page: PageId) -> StorageResult<Page> {
         if let Some(p) = self.buffer.get((file, page)) {
             AtomicIoStats::add(&self.stats.buffer_hits, 1);
             return Ok(p);
         }
         let entry = self.entry(file)?;
-        let data = entry.file.read_page(page)?;
+        let mut data = entry.file.read_page(page)?;
         if !data.verify_checksum() {
             return Err(StorageError::CorruptPage {
                 file: file.0,
@@ -896,11 +896,11 @@ impl StorageManager {
         Ok(data)
     }
 
-    /// Stamps the page's checksum, without copying when it is already valid
-    /// (pages built through [`Page::from_objects`] / [`Page::empty`] arrive
-    /// pre-stamped; only hand-mutated pages pay the clone).
+    /// Stamps the page's checksum unless it is known valid (pages built
+    /// through [`Page::from_objects`] / [`Page::empty`] arrive stamped, so
+    /// only pages mutated by hand pay a CRC and a copy of their frame).
     fn stamped(data: &Page) -> std::borrow::Cow<'_, Page> {
-        if data.verify_checksum() {
+        if data.checksum_known_valid() {
             std::borrow::Cow::Borrowed(data)
         } else {
             let mut page = data.clone();
@@ -1033,7 +1033,7 @@ impl StorageManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::PAGE_SIZE;
+    use crate::page::{PAGE_HEADER_SIZE, PAGE_SIZE};
     use odyssey_geom::{Aabb, DatasetId, ObjectId, Vec3};
 
     fn objs(n: u64) -> Vec<SpatialObject> {
@@ -1257,6 +1257,73 @@ mod tests {
         ));
         // A cached page is trusted; re-reading page 0 still works.
         assert!(m.read_page(f, PageId(0)).is_ok());
+        // A corrupted copy written below the manager, through a second
+        // handle's `PagedFile::write_page` (which never stamps), is caught
+        // once the cached frame is dropped.
+        let raw = DiskFile::open(&path).unwrap();
+        let mut page = raw.read_page(PageId(0)).unwrap();
+        page.as_bytes_mut()[PAGE_HEADER_SIZE + 100] ^= 0x04;
+        raw.write_page(PageId(0), &page).unwrap();
+        assert!(m.read_page(f, PageId(0)).is_ok());
+        m.clear_cache();
+        assert!(matches!(
+            m.read_page(f, PageId(0)),
+            Err(StorageError::CorruptPage { file: 0, page: 0 })
+        ));
+    }
+
+    #[test]
+    fn mutating_a_read_page_leaves_pool_and_file_frames_untouched() {
+        let m = StorageManager::new(StorageOptions::in_memory(64));
+        let f = m.create_file("data").unwrap();
+        m.append_objects(f, &objs(63)).unwrap();
+        let original = m.read_page(f, PageId(0)).unwrap();
+        let mut mine = m.read_page(f, PageId(0)).unwrap();
+        assert_eq!(mine.as_bytes().as_ptr(), original.as_bytes().as_ptr());
+        mine.as_bytes_mut()[PAGE_SIZE - 1] ^= 0xFF;
+        assert_ne!(mine, original);
+        // The pool's frame is unchanged ...
+        let before = m.stats();
+        assert_eq!(m.read_page(f, PageId(0)).unwrap(), original);
+        assert_eq!(m.stats().since(&before).0.buffer_hits, 1);
+        // ... and so is the file's.
+        m.clear_cache();
+        let mut reread = m.read_page(f, PageId(0)).unwrap();
+        assert_eq!(reread, original);
+        assert!(reread.verify_checksum());
+    }
+
+    #[test]
+    fn pages_mutated_after_stamping_are_restamped_on_write() {
+        for dir in [None, Some(tempfile::tempdir().unwrap())] {
+            let options = match &dir {
+                Some(d) => StorageOptions::on_disk(d.path(), 16),
+                None => StorageOptions::in_memory(16),
+            };
+            let m = StorageManager::new(options);
+            let f = m.create_file("data").unwrap();
+            m.append_objects(f, &objs(10)).unwrap();
+            let mut page = m.read_page(f, PageId(0)).unwrap();
+            page.as_bytes_mut()[PAGE_HEADER_SIZE + 3] ^= 0x40;
+            assert!(!page.checksum_known_valid());
+            m.write_page(f, PageId(0), &page).unwrap();
+            // The write-through copy in the pool is stamped ...
+            assert!(m.read_page(f, PageId(0)).unwrap().verify_checksum());
+            // ... and so is the device copy.
+            m.clear_cache();
+            let mut back = m.read_page(f, PageId(0)).unwrap();
+            assert!(back.verify_checksum());
+            assert_eq!(
+                back.as_bytes()[PAGE_HEADER_SIZE..],
+                page.as_bytes()[PAGE_HEADER_SIZE..]
+            );
+            // The same holds for appends.
+            let mut extra = Page::from_objects(&objs(3)).unwrap();
+            extra.as_bytes_mut()[PAGE_HEADER_SIZE + 3] ^= 0x40;
+            let id = m.append_page(f, &extra).unwrap();
+            m.clear_cache();
+            assert!(m.read_page(f, id).unwrap().verify_checksum());
+        }
     }
 
     #[test]

@@ -6,16 +6,35 @@
 //! after a 16-byte header.
 //!
 //! Header layout: bytes 0..4 magic, 4..6 record count, 6..12 reserved,
-//! 12..16 a CRC-32 of the rest of the page ([`PAGE_CHECKSUM_OFFSET`]). The
-//! checksum is owned by the [`crate::StorageManager`]: it stamps it on every
-//! write path and verifies it on every device read, surfacing
-//! [`StorageError::CorruptPage`] on a mismatch. Code that builds pages by
-//! hand only has to leave the slot alone.
+//! 12..16 a CRC-32 of the rest of the page ([`PAGE_CHECKSUM_OFFSET`]).
+//!
+//! # Who stamps the checksum, and when
+//!
+//! Each page carries a private "checksum known valid" bit next to its bytes,
+//! so the CRC of a page is computed once per write, not once per layer:
+//! - [`Page::from_objects`] stamps the page it builds, and [`Page::empty`]
+//!   hands out a clone of one shared frame that was stamped once.
+//! - [`Page::stamp_checksum`], and a [`Page::verify_checksum`] that passes,
+//!   set the bit; [`Page::as_bytes_mut`] clears it.
+//! - The [`crate::StorageManager`] stamps on its write paths only pages whose
+//!   bit is clear (pages mutated by hand), and verifies every page it reads
+//!   from the device, surfacing [`StorageError::CorruptPage`] on a mismatch.
+//!
+//! Code that builds pages by hand only has to leave the slot alone.
+//!
+//! # Shared frames
+//!
+//! A page's bytes live in a reference-counted frame: cloning a page (into
+//! the buffer pool, out of an in-memory file, back to a reader) bumps a
+//! count instead of copying 4 KB. [`Page::as_bytes_mut`] copies the frame
+//! first if anyone else holds it, so mutating one handle never changes what
+//! another sees.
 
 use crate::crc::{crc32_finish, crc32_update};
 use crate::error::{StorageError, StorageResult};
 use odyssey_geom::{Aabb, DatasetId, ObjectId, SpatialObject, Vec3};
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, LazyLock};
 
 /// Size of one disk page in bytes (the paper's configuration).
 pub const PAGE_SIZE: usize = 4096;
@@ -52,11 +71,32 @@ impl PageId {
 ///
 /// A page is always exactly [`PAGE_SIZE`] bytes. Helper methods encode and
 /// decode object records; raw byte access is available for the few callers
-/// (e.g. R-tree node pages) that use their own layout.
-#[derive(Clone, PartialEq, Eq)]
+/// (e.g. R-tree node pages) that use their own layout. Clones share one
+/// frame until either side mutates it (see the module docs).
+#[derive(Clone)]
 pub struct Page {
-    bytes: Box<[u8]>,
+    bytes: Arc<[u8]>,
+    /// Set only while the checksum slot is known to match the contents.
+    checksum_valid: bool,
 }
+
+/// Pages compare by content; whether the checksum was already checked is
+/// not part of a page's value.
+impl PartialEq for Page {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for Page {}
+
+/// The stamped empty object page every [`Page::empty`] call shares.
+static EMPTY_PAGE: LazyLock<Page> = LazyLock::new(|| {
+    let mut page = Page::zeroed();
+    page.as_bytes_mut()[..4].copy_from_slice(&PAGE_MAGIC);
+    page.stamp_checksum();
+    page
+});
 
 impl std::fmt::Debug for Page {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -73,13 +113,20 @@ impl Default for Page {
 }
 
 impl Page {
-    /// Creates a zeroed page with a valid empty-object-page header.
+    /// Returns a zeroed page with a valid, stamped empty-object-page header:
+    /// a clone of one shared frame, so bulk pre-allocation neither allocates
+    /// nor checksums per page.
     pub fn empty() -> Self {
-        let mut bytes = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        bytes[..4].copy_from_slice(&PAGE_MAGIC);
-        let mut page = Page { bytes };
-        page.stamp_checksum();
-        page
+        EMPTY_PAGE.clone()
+    }
+
+    /// An all-zero frame (not a valid object page) for a device read or a
+    /// page builder to fill in place.
+    pub(crate) fn zeroed() -> Self {
+        Page {
+            bytes: std::iter::repeat_n(0u8, PAGE_SIZE).collect(),
+            checksum_valid: false,
+        }
     }
 
     /// Wraps raw bytes as a page.
@@ -93,7 +140,8 @@ impl Page {
             "a page must be exactly {PAGE_SIZE} bytes"
         );
         Page {
-            bytes: bytes.into_boxed_slice(),
+            bytes: bytes.into(),
+            checksum_valid: false,
         }
     }
 
@@ -109,7 +157,8 @@ impl Page {
                 capacity: OBJECTS_PER_PAGE,
             });
         }
-        let mut page = Page::empty();
+        let mut page = Page::zeroed();
+        page.as_bytes_mut()[..4].copy_from_slice(&PAGE_MAGIC);
         page.set_record_count(objects.len() as u16);
         for (i, obj) in objects.iter().enumerate() {
             encode_record(obj, page.record_slice_mut(i));
@@ -124,10 +173,21 @@ impl Page {
         &self.bytes
     }
 
-    /// Mutable raw byte view of the page.
+    /// Mutable raw byte view of the page. Copies the frame first if it is
+    /// shared, and forgets that the checksum was valid: the storage manager
+    /// re-stamps the page when it is written.
     #[inline]
     pub fn as_bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes
+        self.checksum_valid = false;
+        Arc::make_mut(&mut self.bytes)
+    }
+
+    /// Whether the checksum slot is known to match the contents (the page
+    /// was stamped, or verified, and not mutated since). Lets the write path
+    /// skip recomputing the CRC of pages that are already stamped.
+    #[inline]
+    pub(crate) fn checksum_known_valid(&self) -> bool {
+        self.checksum_valid
     }
 
     /// Number of object records stored in the page.
@@ -149,7 +209,7 @@ impl Page {
     }
 
     fn set_record_count(&mut self, count: u16) {
-        self.bytes[4..6].copy_from_slice(&count.to_le_bytes());
+        self.as_bytes_mut()[4..6].copy_from_slice(&count.to_le_bytes());
     }
 
     fn record_slice(&self, i: usize) -> &[u8] {
@@ -159,7 +219,7 @@ impl Page {
 
     fn record_slice_mut(&mut self, i: usize) -> &mut [u8] {
         let start = PAGE_HEADER_SIZE + i * RECORD_SIZE;
-        &mut self.bytes[start..start + RECORD_SIZE]
+        &mut self.as_bytes_mut()[start..start + RECORD_SIZE]
     }
 
     /// CRC-32 of the page contents, excluding the checksum slot itself.
@@ -168,23 +228,27 @@ impl Page {
         crc32_finish(crc32_update(state, &self.bytes[PAGE_CHECKSUM_OFFSET + 4..]))
     }
 
-    /// Writes the content checksum into the header's checksum slot. Called by
-    /// the storage manager on every write path ([`Page::empty`] pages start
-    /// out stamped, so bulk pre-allocation stays valid).
+    /// Writes the content checksum into the header's checksum slot and marks
+    /// it known valid. Called by [`Page::from_objects`], and by the storage
+    /// manager's write paths for pages mutated since their last stamp.
     pub fn stamp_checksum(&mut self) {
         let crc = self.content_checksum();
-        self.bytes[PAGE_CHECKSUM_OFFSET..PAGE_CHECKSUM_OFFSET + 4]
+        self.as_bytes_mut()[PAGE_CHECKSUM_OFFSET..PAGE_CHECKSUM_OFFSET + 4]
             .copy_from_slice(&crc.to_le_bytes());
+        self.checksum_valid = true;
     }
 
-    /// Verifies the stored checksum against the page contents.
-    pub fn verify_checksum(&self) -> bool {
+    /// Recomputes the checksum of the contents and compares it with the
+    /// stored one, whatever the page's known-valid bit says; a match sets the
+    /// bit, so writing the page back unchanged costs no second CRC.
+    pub fn verify_checksum(&mut self) -> bool {
         let stored = u32::from_le_bytes(
             self.bytes[PAGE_CHECKSUM_OFFSET..PAGE_CHECKSUM_OFFSET + 4]
                 .try_into()
                 .expect("checksum slot is 4 bytes"), // analyzer: allow(fixed 4-byte checksum slot)
         );
-        stored == self.content_checksum()
+        self.checksum_valid = stored == self.content_checksum();
+        self.checksum_valid
     }
 
     /// Decodes every object record stored in the page.
@@ -389,22 +453,53 @@ mod tests {
 
     #[test]
     fn checksum_stamp_and_verify() {
-        // Freshly built pages are stamped.
+        // Freshly built pages are stamped, and known to be.
+        assert!(Page::empty().checksum_known_valid());
         assert!(Page::empty().verify_checksum());
         let mut p = Page::from_objects(&[obj(1, 2, 0.0, 1.0)]).unwrap();
+        assert!(p.checksum_known_valid());
         assert!(p.verify_checksum());
         // Any mutation invalidates until restamped — including mutations of
         // the reserved header bytes outside the checksum slot.
         p.as_bytes_mut()[PAGE_HEADER_SIZE + 3] ^= 0x40;
+        assert!(!p.checksum_known_valid());
         assert!(!p.verify_checksum());
         p.stamp_checksum();
+        assert!(p.checksum_known_valid());
         assert!(p.verify_checksum());
+        // Raw bytes are not trusted until verified, even when they match.
+        let mut raw = Page::from_bytes(p.as_bytes().to_vec());
+        assert!(!raw.checksum_known_valid());
+        assert!(raw.verify_checksum());
+        assert!(raw.checksum_known_valid());
         p.as_bytes_mut()[6] ^= 0x01;
         assert!(!p.verify_checksum());
         // Corrupting the slot itself is also detected.
         p.stamp_checksum();
         p.as_bytes_mut()[PAGE_CHECKSUM_OFFSET] ^= 0xFF;
         assert!(!p.verify_checksum());
+    }
+
+    #[test]
+    fn clones_share_a_frame_until_one_is_mutated() {
+        let a = Page::from_objects(&[obj(1, 2, 0.0, 1.0)]).unwrap();
+        let mut b = a.clone();
+        assert_eq!(a.as_bytes().as_ptr(), b.as_bytes().as_ptr());
+        assert_eq!(
+            Page::empty().as_bytes().as_ptr(),
+            Page::empty().as_bytes().as_ptr()
+        );
+        b.as_bytes_mut()[PAGE_HEADER_SIZE] ^= 0xFF;
+        assert_ne!(a.as_bytes().as_ptr(), b.as_bytes().as_ptr());
+        assert_ne!(a, b);
+        assert_eq!(a.objects().unwrap(), vec![obj(1, 2, 0.0, 1.0)]);
+        assert!(a.checksum_known_valid());
+        assert!(!b.checksum_known_valid());
+        // Mutating the sole holder of a frame does not copy it.
+        let before = b.as_bytes().as_ptr();
+        b.as_bytes_mut()[PAGE_HEADER_SIZE] ^= 0xFF;
+        assert_eq!(b.as_bytes().as_ptr(), before);
+        assert_eq!(a, b);
     }
 
     #[test]

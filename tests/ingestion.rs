@@ -315,6 +315,68 @@ fn shuffled_mixed_ops_batch_is_deterministic_on_8_threads() {
 /// which always repairs a stale file it wants to read — and phase B on the
 /// planner engine, which bypasses a repair that costs more than reading the
 /// few hit partitions from the octree. Oracle-exactness throughout.
+/// Repairing a stale merge file walks its partitions in key order, so two
+/// identically built engines lay out the same repair runs and pay exactly
+/// the same I/O.
+#[test]
+fn stale_merge_file_repair_io_repeats_across_identical_engines() {
+    let run = || {
+        let world = fresh_world(&spec(4, 2_500));
+        let engine = SpaceOdyssey::new(
+            OdysseyConfig::paper(world.bounds).without_planner(),
+            world.raws.clone(),
+        )
+        .unwrap();
+        let anchor = world
+            .all_objects
+            .iter()
+            .find(|o| o.dataset == DatasetId(0))
+            .unwrap()
+            .center();
+        let side = world.bounds.extent().x * 0.05;
+        let hot = DatasetSet::from_ids((0..3u16).map(DatasetId));
+        let hot_query = |i: u32| {
+            Query::Range(RangeQuery::new(
+                QueryId(i),
+                Aabb::from_center_extent(anchor, Vec3::splat(side)),
+                hot,
+            ))
+        };
+        for i in 0..8 {
+            engine.execute_query(&world.storage, &hot_query(i)).unwrap();
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(43);
+        let tail: Vec<SpatialObject> = (0..200u64)
+            .map(|i| {
+                let jitter = Vec3::new(
+                    rng.gen_range(-0.5..0.5),
+                    rng.gen_range(-0.5..0.5),
+                    rng.gen_range(-0.5..0.5),
+                ) * side;
+                SpatialObject::new(
+                    ObjectId(6_000_000 + i),
+                    DatasetId(1),
+                    Aabb::from_center_extent(anchor + jitter, Vec3::splat(side * 0.02)),
+                )
+            })
+            .collect();
+        engine.ingest(&world.storage, DatasetId(1), &tail).unwrap();
+        let repaired = engine
+            .execute_query(&world.storage, &hot_query(100))
+            .unwrap();
+        assert!(repaired.stale_merge_repairs > 0, "{repaired:?}");
+        world.storage.clear_cache();
+        for i in 101..104 {
+            engine.execute_query(&world.storage, &hot_query(i)).unwrap();
+        }
+        world.storage.stats()
+    };
+    let first = run();
+    for _ in 0..3 {
+        assert_eq!(run(), first);
+    }
+}
+
 #[test]
 fn stale_merge_files_repair_or_bypass_but_never_lie() {
     // ---- Phase A: repair (legacy routing, planner off). ----
